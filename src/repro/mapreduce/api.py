@@ -17,8 +17,36 @@ from typing import Any, Callable, Iterable
 
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.types import Writable, wrap
+from repro.mapreduce.types import IntWritable, LongWritable, Text, Writable, wrap
 from repro.util.errors import MapReduceError
+
+#: Key types a map task may group by raw value at emit time, each with
+#: the plain type that auto-wraps to it (``None``: no plain type does).
+#: For exactly these types, equality, hash and sort order of the raw
+#: ``value`` agree with the Writable's own, so grouping by the raw value
+#: is grouping by key.  Float and record keys are left out on purpose:
+#: ``FloatWritable`` equality and its partition hash disagree on NaN and
+#: ±0.0, and record keys carry no single raw value (DESIGN.md §4k).
+GROUPABLE_KEYS: dict[type, type | None] = {
+    Text: str,
+    IntWritable: int,
+    LongWritable: None,
+}
+
+
+def _replay_groups(order: list[list[Writable]]) -> list[tuple[Writable, Writable]]:
+    """The pairs of ``[key, values...]`` groups in emission order.
+
+    ``order`` names the group of each emission in turn, so the n-th
+    time a group appears it contributes its n-th value.
+    """
+    taken: dict[int, int] = {}
+    pairs: list[tuple[Writable, Writable]] = []
+    for group in order:
+        index = taken.get(id(group), 0) + 1
+        taken[id(group)] = index
+        pairs.append((group[0], group[index]))
+    return pairs
 
 
 class Context:
@@ -45,6 +73,7 @@ class Context:
         node_cache: dict[str, Any] | None = None,
         task_node: str | None = None,
         input_path: str | None = None,
+        group_keys: bool = False,
     ):
         self.conf = conf
         self.counters = counters
@@ -57,6 +86,15 @@ class Context:
         self.input_path = input_path
         self._side_reader = side_reader
         self._collected: list[tuple[Writable, Writable]] = []
+        #: Grouped collection (``group_keys=True``, map tasks of combiner
+        #: jobs): raw key value -> ``[first key instance, values...]`` in
+        #: first-emission order, while every key has the one exact type
+        #: ``_group_type``.  ``None`` once emissions go to ``_collected``.
+        self._groups: dict[Any, list[Writable]] | None = {} if group_keys else None
+        #: The group of every grouped emission, in emission order.
+        self._order: list[list[Writable]] = []
+        self._group_type: type | None = None
+        self._raw_type: type | None = None
         #: Simulated seconds of extra I/O charged by user-code helpers
         #: (side-file reads); folded into the task's duration.
         self.extra_time = 0.0
@@ -64,7 +102,61 @@ class Context:
     # -- emission --------------------------------------------------------
     def write(self, key: Any, value: Any) -> None:
         """Emit one key/value pair (plain values are auto-wrapped)."""
+        groups = self._groups
+        if groups is not None:
+            kind = type(key)
+            if kind is self._raw_type:
+                raw = key
+            elif kind is self._group_type:
+                raw = key.value
+            else:
+                self._write_ungrouped(key, value)
+                return
+            group = groups.get(raw)
+            if group is None:
+                group = groups[raw] = [wrap(key)]
+            group.append(wrap(value))
+            self._order.append(group)
+            return
         self._collected.append((wrap(key), wrap(value)))
+
+    def _write_ungrouped(self, key: Any, value: Any) -> None:
+        """A grouped write whose key does not match the group type: the
+        task's first key picks the type, any other key ends grouping."""
+        wkey = wrap(key)
+        kind = type(wkey)
+        if self._group_type is None and kind in GROUPABLE_KEYS:
+            self._group_type = kind
+            self._raw_type = GROUPABLE_KEYS[kind]
+            group = self._groups[wkey.value] = [wkey, wrap(value)]
+            self._order.append(group)
+            return
+        self._stop_grouping()
+        self._collected.append((wkey, wrap(value)))
+
+    def _stop_grouping(self) -> None:
+        """Replay the groups into the pair list in emission order; later
+        writes append there, exactly as if grouping had never run."""
+        self._collected.extend(_replay_groups(self._order))
+        self._groups, self._order = None, []
+
+    def drain_groups(
+        self, max_records: int | None = None
+    ) -> list[list[Writable]] | None:
+        """End grouped collection; its ``[key, values...]`` groups in
+        first-emission order.
+
+        ``None`` when this context never grouped, fell back to the pair
+        list, or holds more than ``max_records`` records (those then
+        move to the pair list): :meth:`drain` has the pairs.
+        """
+        if self._groups is None:
+            return None
+        if max_records is not None and len(self._order) > max_records:
+            self._stop_grouping()
+            return None
+        groups, self._groups, self._order = self._groups, None, []
+        return list(groups.values())
 
     def drain(self) -> list[tuple[Writable, Writable]]:
         pairs, self._collected = self._collected, []

@@ -123,6 +123,23 @@ class _PairTally:
             yield kv
 
 
+class _GroupTally(_PairTally):
+    """:class:`_PairTally` over ``[key, values...]`` groups: the same
+    record/byte sums as over the expanded pairs, with the key's size
+    taken once per group."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        for group in self.source:
+            count = len(group) - 1
+            self.records += count
+            self.nbytes += group[0].serialized_size() * count + sum(
+                value.serialized_size() for value in group[1:]
+            )
+            yield group
+
+
 def _make_sanitizer(
     mr_config: MapReduceConfig | None,
     conf: JobConf,
@@ -203,10 +220,14 @@ def execute_map(
         task_node=task_node,
         input_path=split.path,
     )
+    # A combiner job's unsanitized map output is grouped by key as it
+    # is emitted, so sort, partition and combine run once per distinct
+    # key.  The sanitizer keeps the pair list: its emit-aliasing check
+    # needs every emitted instance.
     context = (
         sanitizer.make_context(**context_kwargs)
         if sanitizer is not None
-        else Context(**context_kwargs)
+        else Context(**context_kwargs, group_keys=job.combiner is not None)
     )
     input_format = job_input_format(job)
     if prefetched is not None:
@@ -239,14 +260,20 @@ def execute_map(
     # Sort once, before partitioning: partitions are key-determined, so
     # a stable bucketing of sorted pairs leaves every bucket key-sorted
     # — the per-partition re-sort the combiner used to pay disappears.
+    # Grouped output sorts and partitions its distinct keys instead: the
+    # buckets then hold exactly the groups group_by_key would build.
     # Past ``spill_record_limit`` the sort goes external: emission-order
     # chunks spill as sorted framed runs and heap-merge back, yielding
     # the exact same sequence with a bounded in-memory working set.
-    drained = context.drain()
     spill_limit = mr_config.spill_record_limit
     partitioner = job_partitioner(job)
     spill_runs = 1
-    if spill_limit is not None and len(drained) > spill_limit:
+    groups = context.drain_groups(spill_limit)
+    drained = context.drain()
+    if groups is not None:
+        tally = _GroupTally(sort_pairs(groups))
+        partitions = partition_pairs(tally, partitioner, conf.num_reduces)
+    elif spill_limit is not None and len(drained) > spill_limit:
         tally = _PairTally(external_sorted(drained, spill_limit, perf))
         try:
             partitions = partition_pairs(tally, partitioner, conf.num_reduces)
@@ -274,19 +301,21 @@ def execute_map(
             # key-sorted output before the real combine consumes it.
             sanitizer.check_combiner(job.combiner, partitions)
         combined: dict[int, list[Pair]] = {}
-        combine_records = 0
         for partition, ppairs in partitions.items():
             try:
                 combined[partition] = run_combiner(
-                    job.combiner, ppairs, context, counters, presorted=True
+                    job.combiner,
+                    ppairs,
+                    context,
+                    counters,
+                    presorted=True,
+                    grouped=groups is not None,
                 )
             except Exception as exc:  # noqa: BLE001 - user code boundary
                 raise _wrap_user_error("combine", exc) from exc
-            combine_records += len(ppairs)
         partitions = combined
-        combine_time = cost.sort_time(combine_records) + cost.cpu_time(
-            combine_records, 0
-        )
+        # Every output record entered exactly one partition's combine.
+        combine_time = cost.sort_time(records_out) + cost.cpu_time(records_out, 0)
 
     final_bytes = sum(serialized_bytes(p) for p in partitions.values())
     counters.increment(C.FILE_BYTES_WRITTEN, final_bytes)

@@ -95,6 +95,7 @@ def run_combiner(
     context: Context,
     counters: Counters,
     presorted: bool = False,
+    grouped: bool = False,
 ) -> list[Pair]:
     """Apply a combiner to one map task's (sorted) output.
 
@@ -106,8 +107,20 @@ def run_combiner(
     a stable sort bucketed on a key-derived partition stays sorted), so
     the redundant per-partition re-sort is skipped.  The promise is
     checked in debug mode.
+
+    ``grouped=True`` says ``pairs`` holds one ``[key, values...]`` group
+    per distinct key (map-side grouped collection, see
+    :meth:`~repro.mapreduce.api.Context.drain_groups`) instead of one
+    pair per record: the combiner sees the groups ``group_by_key``
+    would have built from the expanded pairs, and input records count
+    values, not groups.
     """
-    counters.increment(C.COMBINE_INPUT_RECORDS, len(pairs))
+    if grouped:
+        counters.increment(
+            C.COMBINE_INPUT_RECORDS, sum(map(len, pairs)) - len(pairs)
+        )
+    else:
+        counters.increment(C.COMBINE_INPUT_RECORDS, len(pairs))
     if presorted:
         if __debug__ and not is_key_sorted(pairs):
             raise AssertionError(
@@ -116,9 +129,10 @@ def run_combiner(
         source = pairs
     else:
         source = sort_pairs(pairs)
+    groups = ((g[0], g[1:]) for g in source) if grouped else group_by_key(source)
     combiner = combiner_cls()
     combiner.setup(context)
-    for key, values in group_by_key(source):
+    for key, values in groups:
         combiner.reduce(key, values, context)
     combiner.cleanup(context)
     combined = context.drain()
